@@ -15,7 +15,6 @@ import (
 	"hades/internal/clocksync"
 	"hades/internal/cluster"
 	"hades/internal/consensus"
-	"hades/internal/core"
 	"hades/internal/dispatcher"
 	"hades/internal/eventq"
 	"hades/internal/expkit"
@@ -29,6 +28,7 @@ import (
 	"hades/internal/replication"
 	"hades/internal/sched"
 	"hades/internal/session"
+	"hades/internal/shard"
 	"hades/internal/simkern"
 	"hades/internal/vtime"
 )
@@ -65,6 +65,16 @@ func BenchmarkFigure3Translation(b *testing.B) {
 	}
 }
 
+// engineBenchCluster is the platform of the engine-level benchmarks:
+// n nodes (n > 1 gets the default mesh), seed 1, a one-event log and no
+// metrics plane, so the runs measure the kernel and dispatcher work
+// alone rather than periodic metrics scrapes.
+func engineBenchCluster(n int, costs dispatcher.CostBook) *cluster.Cluster {
+	c := cluster.New(cluster.Config{Seed: 1, Costs: costs, LogLimit: 1, Metrics: &cluster.MetricsParams{Disabled: true}})
+	c.AddNodes(n)
+	return c
+}
+
 // BenchmarkDispatcherCosts measures the host-side cost of one complete
 // task-instance lifecycle under the full §4.1 cost book — the real
 // "worst-case scenario benchmark" of our dispatcher implementation
@@ -79,7 +89,7 @@ func BenchmarkDispatcherCosts(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys := engineBenchCluster(1, dispatcher.DefaultCostBook())
 		app := sys.NewApp("a", sched.NewRM(), nil)
 		if err := app.AddTask(task); err != nil {
 			b.Fatal(err)
@@ -102,7 +112,7 @@ func BenchmarkKernelActivities(b *testing.B) {
 		Precede("a", "b").
 		MustBuild()
 	for i := 0; i < b.N; i++ {
-		sys := core.NewSystem(core.Config{Nodes: 2, Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys := engineBenchCluster(2, dispatcher.DefaultCostBook())
 		app := sys.NewApp("l", sched.NewRM(), nil)
 		if err := app.AddTask(task); err != nil {
 			b.Fatal(err)
@@ -192,7 +202,7 @@ func BenchmarkResourceProtocols(b *testing.B) {
 
 func runInversion(b *testing.B, policy dispatcher.ResourcePolicy) {
 	b.Helper()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, LogLimit: 1})
+	sys := engineBenchCluster(1, dispatcher.CostBook{})
 	app := sys.NewApp("inv", sched.NewDM(), policy)
 	app.MustAddTask(heug.NewTask("low", heug.SporadicEvery(50*ms)).
 		WithDeadline(45*ms).
@@ -386,33 +396,43 @@ var highFanoutKeys = func() []string {
 	return keys
 }()
 
+// highFanoutKV runs the high-fanout KV workload once: one client
+// bursting 32 keys every 2 ms for 100 ms over a 4-shard plane of 2
+// replicas each, with the session discipline of highFanoutSession and
+// the observability planes of cfg. The seed is always 61. It returns
+// the cluster, the shard set and the client for the caller to check.
+func highFanoutKV(cfg cluster.Config) (*cluster.Cluster, *cluster.ShardSet, *shard.Client) {
+	cfg.Seed = 61
+	c := cluster.New(cfg)
+	c.AddNodes(9) // 4 shards × 2 replicas + client
+	c.ConnectAll(100*us, 300*us)
+	set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: highFanoutSession()})
+	cl := set.ClientAt(8)
+	n := 0
+	for t := vtime.Duration(0); t < 100*ms; t += 2 * ms {
+		for _, k := range highFanoutKeys {
+			key := k
+			n++
+			cmd := int64(n)
+			c.At(vtime.Time(t), func() { cl.Submit(key, cmd) })
+		}
+	}
+	// The horizon leaves the unbatched discipline room to drain: one
+	// wire message per op saturates the client's per-message cost,
+	// so its backlog outlives the 100 ms burst window by ~250 ms.
+	// The batched run drains early and fast-forwards the idle tail.
+	c.Run(600 * ms)
+	return c, set, cl
+}
+
 // BenchmarkHighFanoutKV is the batching/pipelining workload: one
-// client bursting 32 keys per millisecond over a 4-shard plane — the
+// client bursting 32 keys every 2 ms over a 4-shard plane — the
 // shape where per-op wire messages and replication rounds dominate.
 // Run it twice (HADES_SESSION=unbatched, then default) and diff the
 // baselines to see the op-batching + pipelining win.
 func BenchmarkHighFanoutKV(b *testing.B) {
-	params := highFanoutSession()
 	for i := 0; i < b.N; i++ {
-		c := cluster.New(cluster.Config{Seed: 61, Trace: benchTrace()})
-		c.AddNodes(9) // 4 shards × 2 replicas + client
-		c.ConnectAll(100*us, 300*us)
-		set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-		cl := set.ClientAt(8)
-		n := 0
-		for t := vtime.Duration(0); t < 100*ms; t += 2 * ms {
-			for _, k := range highFanoutKeys {
-				key := k
-				n++
-				cmd := int64(n)
-				c.At(vtime.Time(t), func() { cl.Submit(key, cmd) })
-			}
-		}
-		// The horizon leaves the unbatched discipline room to drain: one
-		// wire message per op saturates the client's per-message cost,
-		// so its backlog outlives the 100 ms burst window by ~250 ms.
-		// The batched run drains early and fast-forwards the idle tail.
-		c.Run(600 * ms)
+		_, set, cl := highFanoutKV(cluster.Config{Trace: benchTrace()})
 		if cl.Stats.Acked != cl.Stats.Submitted {
 			b.Fatalf("acked %d of %d", cl.Stats.Acked, cl.Stats.Submitted)
 		}
@@ -467,7 +487,7 @@ func BenchmarkHighFanoutTxn(b *testing.B) {
 func BenchmarkSimulationThroughput(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		sys := core.NewSystem(core.Config{Nodes: 3, Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys := engineBenchCluster(3, dispatcher.DefaultCostBook())
 		app := sys.NewApp("t", sched.NewEDF(20*us), sched.NewSRP())
 		for j, p := range []vtime.Duration{5 * ms, 7 * ms, 11 * ms, 13 * ms} {
 			st := heug.SpuriTask{

@@ -161,7 +161,12 @@ type Cluster struct {
 	shardSets []*ShardSet
 	loads     []*load.Generator
 	started   map[string]bool
+	gens      []*generator // live activation generators
 	built     bool
+
+	// Operational modes (modes.go).
+	modes map[string][]string
+	mode  string
 }
 
 // DefaultLinkDMin and DefaultLinkDMax bound point-to-point delays when
@@ -441,58 +446,84 @@ func (a *App) Raw() *dispatcher.App { return a.app }
 // the task's declared periodic arrival law (offset, then every
 // period). Spawn does this automatically for periodic tasks.
 func (c *Cluster) StartPeriodic(task string) error {
-	c.build()
-	tr, ok := c.disp.Task(task)
-	if !ok {
-		return fmt.Errorf("cluster: unknown task %q", task)
-	}
-	law := tr.Task.Arrival
-	if law.Kind != heug.Periodic {
-		return fmt.Errorf("cluster: task %q is not periodic", task)
-	}
-	if c.started[task] {
-		return fmt.Errorf("cluster: task %q already driven", task)
-	}
-	c.started[task] = true
-	var fire func()
-	fire = func() {
-		_, _ = c.disp.Activate(task) // arrival-law monitoring inside
-		c.eng.After(law.Period, eventq.ClassDispatch, fire)
-	}
-	c.eng.After(law.Offset, eventq.ClassDispatch, fire)
-	return nil
+	return c.drive(task, heug.Periodic, nil)
 }
 
 // StartSporadic activates a sporadic task every pseudo-period plus a
 // caller-supplied extra gap per instance (nil = worst-case rate). The
 // pattern is deterministic given the engine seed if extraGap uses it.
 func (c *Cluster) StartSporadic(task string, extraGap func(k uint64) vtime.Duration) error {
+	return c.drive(task, heug.Sporadic, extraGap)
+}
+
+// drive starts the generator of a registered task whose arrival law is
+// of the given kind and that no StartPeriodic/StartSporadic drives yet.
+func (c *Cluster) drive(task string, kind heug.ArrivalKind, extraGap func(k uint64) vtime.Duration) error {
 	c.build()
 	tr, ok := c.disp.Task(task)
 	if !ok {
 		return fmt.Errorf("cluster: unknown task %q", task)
 	}
 	law := tr.Task.Arrival
-	if law.Kind != heug.Sporadic {
-		return fmt.Errorf("cluster: task %q is not sporadic", task)
+	if law.Kind != kind {
+		return fmt.Errorf("cluster: task %q is not %s", task, kind)
 	}
 	if c.started[task] {
 		return fmt.Errorf("cluster: task %q already driven", task)
 	}
 	c.started[task] = true
-	var k uint64
-	var fire func()
-	fire = func() {
-		_, _ = c.disp.Activate(task)
-		k++
-		gap := law.Period
-		if extraGap != nil {
-			gap += extraGap(k)
-		}
-		c.eng.After(gap, eventq.ClassDispatch, fire)
-	}
-	c.eng.After(law.Offset, eventq.ClassDispatch, fire)
+	c.startGenerator(task, law.Period, law.Offset, extraGap, false)
 	return nil
+}
+
+// generator is one cancellable activation source: it activates its
+// task every period (plus extraGap(k) after the k-th instance, if set)
+// until stopped. fire is bound once, so re-arming allocates nothing.
+type generator struct {
+	c        *Cluster
+	task     string
+	period   vtime.Duration
+	extraGap func(k uint64) vtime.Duration
+	k        uint64
+	mode     bool // started by EnterMode, stopped by SwitchMode
+	stopped  bool
+	fire     func()
+}
+
+// startGenerator arms a generator whose first activation is delay
+// from now.
+func (c *Cluster) startGenerator(task string, period, delay vtime.Duration, extraGap func(k uint64) vtime.Duration, mode bool) {
+	g := &generator{c: c, task: task, period: period, extraGap: extraGap, mode: mode}
+	g.fire = g.tick
+	c.gens = append(c.gens, g)
+	c.eng.After(delay, eventq.ClassDispatch, g.fire)
+}
+
+func (g *generator) tick() {
+	if g.stopped {
+		return
+	}
+	_, _ = g.c.disp.Activate(g.task) // arrival-law monitoring inside
+	g.k++
+	gap := g.period
+	if g.extraGap != nil {
+		gap += g.extraGap(g.k)
+	}
+	g.c.eng.After(gap, eventq.ClassDispatch, g.fire)
+}
+
+// stopGenerators stops and forgets every generator stop selects.
+func (c *Cluster) stopGenerators(stop func(*generator) bool) {
+	kept := c.gens[:0]
+	for _, g := range c.gens {
+		if stop(g) {
+			g.stopped = true
+		} else {
+			kept = append(kept, g)
+		}
+	}
+	clear(c.gens[len(kept):])
+	c.gens = kept
 }
 
 // StartSporadicWorstCase activates a sporadic task at its maximum

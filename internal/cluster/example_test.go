@@ -1,9 +1,9 @@
-package core_test
+package cluster_test
 
 import (
 	"fmt"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
 	"hades/internal/sched"
@@ -14,31 +14,29 @@ import (
 // declare an application under a scheduling policy, add a HEUG task,
 // and run — the executable version of the README's quickstart.
 func Example() {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, Costs: dispatcher.DefaultCostBook()})
-	app := sys.NewApp("demo", sched.NewEDF(20*vtime.Microsecond), sched.NewSRP())
+	c := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook()})
+	c.AddNodes(1)
+	app := c.NewApp("demo", sched.NewEDF(20*vtime.Microsecond), sched.NewSRP())
 
 	task := heug.NewTask("sense", heug.PeriodicEvery(10*vtime.Millisecond)).
 		WithDeadline(10*vtime.Millisecond).
 		Code("read", heug.CodeEU{Node: 0, WCET: 500 * vtime.Microsecond}).
 		MustBuild()
-	app.MustAddTask(task)
-	app.Seal()
+	app.MustSpawn(task)
 
-	if err := sys.StartPeriodic("sense"); err != nil {
-		panic(err)
-	}
-	rep := sys.Run(100 * vtime.Millisecond)
+	res := c.Run(100 * vtime.Millisecond)
 	fmt.Printf("completions=%d misses=%d\n",
-		rep.Stats.Completions, rep.Stats.DeadlineMisses)
+		res.Stats.Completions, res.Stats.DeadlineMisses)
 	// Output: completions=10 misses=0
 }
 
-// ExampleSystem_SwitchMode demonstrates operational modes: a failure
+// ExampleCluster_SwitchMode demonstrates operational modes: a failure
 // response switches from the normal task set to a degraded one,
 // aborting what was mid-flight.
-func ExampleSystem_SwitchMode() {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
-	app := sys.NewApp("modes", sched.NewEDF(0), nil)
+func ExampleCluster_SwitchMode() {
+	c := cluster.New(cluster.Config{Seed: 1})
+	c.AddNodes(1)
+	app := c.NewApp("modes", sched.NewEDF(0), nil)
 	app.MustAddTask(heug.NewTask("full", heug.PeriodicEvery(20*vtime.Millisecond)).
 		WithDeadline(20*vtime.Millisecond).
 		Code("eu", heug.CodeEU{Node: 0, WCET: 15 * vtime.Millisecond}).
@@ -47,22 +45,21 @@ func ExampleSystem_SwitchMode() {
 		WithDeadline(20*vtime.Millisecond).
 		Code("eu", heug.CodeEU{Node: 0, WCET: 1 * vtime.Millisecond}).
 		MustBuild())
-	app.Seal()
-	if err := sys.DefineMode("normal", "full"); err != nil {
+	if err := c.DefineMode("normal", "full"); err != nil {
 		panic(err)
 	}
-	if err := sys.DefineMode("degraded", "lite"); err != nil {
+	if err := c.DefineMode("degraded", "lite"); err != nil {
 		panic(err)
 	}
-	if err := sys.EnterMode("normal"); err != nil {
+	if err := c.EnterMode("normal"); err != nil {
 		panic(err)
 	}
-	sys.Run(10 * vtime.Millisecond) // "full" is mid-execution
-	aborted, err := sys.SwitchMode("degraded", true)
+	c.Run(10 * vtime.Millisecond) // "full" is mid-execution
+	aborted, err := c.SwitchMode("degraded", true)
 	if err != nil {
 		panic(err)
 	}
-	sys.Run(50 * vtime.Millisecond)
-	fmt.Printf("aborted=%d mode=%s\n", aborted, sys.CurrentMode())
+	c.Run(50 * vtime.Millisecond)
+	fmt.Printf("aborted=%d mode=%s\n", aborted, c.CurrentMode())
 	// Output: aborted=1 mode=degraded
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
 	"hades/internal/monitor"
@@ -15,9 +15,10 @@ import (
 
 // newSingleNode builds a 1-node system with an RM app and the given
 // tasks, returning the system and app.
-func newSingleNode(t *testing.T, costs dispatcher.CostBook, tasks ...*heug.Task) (*core.System, *core.App) {
+func newSingleNode(t *testing.T, costs dispatcher.CostBook, tasks ...*heug.Task) (*cluster.Cluster, *cluster.App) {
 	t.Helper()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 7, Costs: costs})
+	sys := cluster.New(cluster.Config{Seed: 7, Costs: costs})
+	sys.AddNodes(1)
 	app := sys.NewApp("app", sched.NewRM(), nil)
 	for _, task := range tasks {
 		app.MustAddTask(task)
@@ -231,7 +232,8 @@ func TestCancelOnMissOrphansThreads(t *testing.T) {
 		Code("b", heug.CodeEU{Node: 0, WCET: 1 * ms}).
 		Precede("a", "b").
 		MustBuild()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 7, CancelOnMiss: true})
+	sys := cluster.New(cluster.Config{Seed: 7, CancelOnMiss: true})
+	sys.AddNodes(1)
 	app := sys.NewApp("app", sched.NewRM(), nil)
 	app.MustAddTask(task)
 	app.Seal()
@@ -271,7 +273,8 @@ func TestArrivalLawRejection(t *testing.T) {
 		WithDeadline(5*ms).
 		Code("s", heug.CodeEU{Node: 0, WCET: 100 * us}).
 		MustBuild()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 7})
+	sys := cluster.New(cluster.Config{Seed: 7})
+	sys.AddNodes(1)
 	app := sys.NewApp("app", sched.NewRM(), nil)
 	app.MustAddTask(task)
 	app.Raw().RejectOnArrivalViolation = true
@@ -315,7 +318,8 @@ func TestLatestStartMissDetected(t *testing.T) {
 		WithDeadline(50*ms).
 		Code("w", heug.CodeEU{Node: 0, WCET: 1 * ms, Prio: 1, Latest: 2 * ms}).
 		MustBuild()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 7})
+	sys := cluster.New(cluster.Config{Seed: 7})
+	sys.AddNodes(1)
 	app := sys.NewApp("app", sched.NewBestEffort(0), nil)
 	app.MustAddTask(blocker)
 	app.MustAddTask(watched)
@@ -469,7 +473,8 @@ func TestRemotePrecedenceCrossesNetwork(t *testing.T) {
 		}}).
 		Precede("a", "b", "v").
 		MustBuild()
-	sys := core.NewSystem(core.Config{Nodes: 2, Seed: 7, Costs: dispatcher.DefaultCostBook()})
+	sys := cluster.New(cluster.Config{Seed: 7, Costs: dispatcher.DefaultCostBook()})
+	sys.AddNodes(2)
 	app := sys.NewApp("app", sched.NewRM(), nil)
 	app.MustAddTask(task)
 	app.Seal()
@@ -497,7 +502,8 @@ func TestNetworkOmissionDetected(t *testing.T) {
 		Code("b", heug.CodeEU{Node: 1, WCET: 100 * us}).
 		Precede("a", "b").
 		MustBuild()
-	sys := core.NewSystem(core.Config{Nodes: 2, Seed: 7})
+	sys := cluster.New(cluster.Config{Seed: 7})
+	sys.AddNodes(2)
 	// Drop everything on the HEUG port.
 	sys.Network().SetFault(dropAll{})
 	app := sys.NewApp("app", sched.NewRM(), nil)
@@ -524,7 +530,8 @@ func (dropAll) Judge(*netsim.Message) netsim.Verdict {
 
 func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() string {
-		sys := core.NewSystem(core.Config{Nodes: 2, Seed: 99, Costs: dispatcher.DefaultCostBook()})
+		sys := cluster.New(cluster.Config{Seed: 99, Costs: dispatcher.DefaultCostBook()})
+		sys.AddNodes(2)
 		app := sys.NewApp("app", sched.NewEDF(15*us), sched.NewSRP())
 		for i, p := range []vtime.Duration{5 * ms, 7 * ms, 11 * ms} {
 			st := heug.SpuriTask{

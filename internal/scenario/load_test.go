@@ -6,19 +6,13 @@ import (
 	"testing"
 )
 
-// loadBase clones the hot-shard builtin deeply enough to mutate its
-// shards block (Builtin hands out a shallow copy of the catalogue
-// entry).
+// loadBase returns a fresh hot-shard builtin for a case to mutate.
 func loadBase(t *testing.T) Spec {
 	t.Helper()
 	spec, err := Builtin("hot-shard")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := *spec.Shards
-	sh.Clients = append([]ShardClientSpec(nil), sh.Clients...)
-	sh.Load = append([]LoadSpec(nil), sh.Load...)
-	spec.Shards = &sh
 	return spec
 }
 

@@ -80,11 +80,6 @@ func TestClientCountAndZipfValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Builtin returns a shallow copy: clone the shards block before
-		// the subtests mutate it.
-		sh := *spec.Shards
-		sh.Clients = append([]ShardClientSpec(nil), sh.Clients...)
-		spec.Shards = &sh
 		return spec
 	}
 	t.Run("count past node range", func(t *testing.T) {

@@ -11,23 +11,14 @@ import (
 	"hades/internal/trace"
 )
 
-// pubsubBase clones the sensor-fan-out builtin deeply enough to mutate
-// its pubsub block (Builtin hands out a shallow copy).
+// pubsubBase returns a fresh sensor-fan-out builtin for a case to
+// mutate.
 func pubsubBase(t *testing.T) Spec {
 	t.Helper()
 	spec, err := Builtin("sensor-fan-out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := *spec.Shards
-	sh.Load = append([]LoadSpec(nil), sh.Load...)
-	spec.Shards = &sh
-	ps := *spec.PubSub
-	ps.Topics = append([]TopicSpec(nil), ps.Topics...)
-	ps.Publishers = append([]PublisherSpec(nil), ps.Publishers...)
-	ps.Subscribers = append([]SubscriberSpec(nil), ps.Subscribers...)
-	ps.Load = append([]LoadSpec(nil), ps.Load...)
-	spec.PubSub = &ps
 	return spec
 }
 

@@ -559,78 +559,126 @@ func Load(path string) (Spec, error) {
 	return s.withDefaults()
 }
 
-// Builtin returns a named built-in scenario.
+// Builtin returns a named built-in scenario, freshly built: the
+// caller owns every field of the returned spec.
 func Builtin(name string) (Spec, error) {
-	s, ok := builtins[name]
-	if !ok {
-		return Spec{}, fmt.Errorf("scenario: unknown builtin %q (have %v)", name, BuiltinNames())
+	for _, build := range builtins {
+		if s := build(); s.Name == name {
+			return s.withDefaults()
+		}
 	}
-	return s.withDefaults()
+	return Spec{}, fmt.Errorf("scenario: unknown builtin %q (have %v)", name, BuiltinNames())
 }
 
 // BuiltinNames lists the catalogue.
 func BuiltinNames() []string {
-	return []string{"spuri-example", "inversion", "overload", "distributed-pipeline", "membership-churn", "partition-split", "sharded-kv", "bank-transfer", "hot-shard", "load-ramp", "sensor-fan-out"}
+	names := make([]string, len(builtins))
+	for i, build := range builtins {
+		names[i] = build().Name
+	}
+	return names
 }
 
-var builtins = map[string]Spec{
+// builtins is the catalogue, in listing order: one constructor per
+// scenario, so every Builtin call builds a fresh spec whose pointer,
+// slice and map fields no other caller shares.
+var builtins = []func() Spec{
 	// The §5 running example: three sporadic tasks sharing S under
 	// EDF+SRP.
-	"spuri-example": {
-		Name: "spuri-example", Nodes: 1, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "SRP", HorizonMs: 500,
-		Tasks: []TaskSpec{
-			{Name: "tau1", CBeforeUs: 300, CSUs: 200, CAfterUs: 500, Resource: "S", DeadlineMs: 5, PeriodMs: 10},
-			{Name: "tau2", CBeforeUs: 800, CSUs: 400, CAfterUs: 800, Resource: "S", DeadlineMs: 12, PeriodMs: 20},
-			{Name: "tau3", CBeforeUs: 2000, CSUs: 0, CAfterUs: 0, DeadlineMs: 40, PeriodMs: 50},
-		},
+	func() Spec {
+		return Spec{
+			Name: "spuri-example", Nodes: 1, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "SRP", HorizonMs: 500,
+			Tasks: []TaskSpec{
+				{Name: "tau1", CBeforeUs: 300, CSUs: 200, CAfterUs: 500, Resource: "S", DeadlineMs: 5, PeriodMs: 10},
+				{Name: "tau2", CBeforeUs: 800, CSUs: 400, CAfterUs: 800, Resource: "S", DeadlineMs: 12, PeriodMs: 20},
+				{Name: "tau3", CBeforeUs: 2000, CSUs: 0, CAfterUs: 0, DeadlineMs: 40, PeriodMs: 50},
+			},
+		}
 	},
+
 	// The canonical priority-inversion workload (experiment X2).
-	"inversion": {
-		Name: "inversion", Nodes: 1, Seed: 1, Costs: "default",
-		Scheduler: "DM", Policy: "SRP", HorizonMs: 500,
-		Tasks: []TaskSpec{
-			{Name: "low", CBeforeUs: 0, CSUs: 8000, CAfterUs: 0, Resource: "R", DeadlineMs: 45, PeriodMs: 50},
-			{Name: "mid", CBeforeUs: 15000, CSUs: 0, CAfterUs: 0, DeadlineMs: 40, PeriodMs: 50},
-			{Name: "high", CBeforeUs: 0, CSUs: 1000, CAfterUs: 0, Resource: "R", DeadlineMs: 20, PeriodMs: 50},
-		},
+	func() Spec {
+		return Spec{
+			Name: "inversion", Nodes: 1, Seed: 1, Costs: "default",
+			Scheduler: "DM", Policy: "SRP", HorizonMs: 500,
+			Tasks: []TaskSpec{
+				{Name: "low", CBeforeUs: 0, CSUs: 8000, CAfterUs: 0, Resource: "R", DeadlineMs: 45, PeriodMs: 50},
+				{Name: "mid", CBeforeUs: 15000, CSUs: 0, CAfterUs: 0, DeadlineMs: 40, PeriodMs: 50},
+				{Name: "high", CBeforeUs: 0, CSUs: 1000, CAfterUs: 0, Resource: "R", DeadlineMs: 20, PeriodMs: 50},
+			},
+		}
 	},
+
 	// A deliberately overloaded set: misses expected.
-	"overload": {
-		Name: "overload", Nodes: 1, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "SRP", HorizonMs: 300,
-		Tasks: []TaskSpec{
-			{Name: "a", CBeforeUs: 6000, CSUs: 0, CAfterUs: 0, DeadlineMs: 10, PeriodMs: 10},
-			{Name: "b", CBeforeUs: 6000, CSUs: 0, CAfterUs: 0, DeadlineMs: 10, PeriodMs: 10},
-		},
+	func() Spec {
+		return Spec{
+			Name: "overload", Nodes: 1, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "SRP", HorizonMs: 300,
+			Tasks: []TaskSpec{
+				{Name: "a", CBeforeUs: 6000, CSUs: 0, CAfterUs: 0, DeadlineMs: 10, PeriodMs: 10},
+				{Name: "b", CBeforeUs: 6000, CSUs: 0, CAfterUs: 0, DeadlineMs: 10, PeriodMs: 10},
+			},
+		}
 	},
+
 	// A three-node sensing pipeline over explicit bounded-delay links,
 	// with a deterministic omission fault on the remote precedence
 	// port: the distributed-and-faulty workload as pure data.
-	"distributed-pipeline": {
-		Name: "distributed-pipeline", Nodes: 3, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 500,
-		Links: []LinkSpec{
-			{A: 0, B: 1, DMinUs: 100, DMaxUs: 250},
-			{A: 1, B: 2, DMinUs: 150, DMaxUs: 400},
-			{A: 0, B: 2, DMinUs: 100, DMaxUs: 300},
-		},
-		Faults: []FaultSpec{
-			{Kind: "drop-every", K: 25, Port: "heug.prec"},
-		},
-		Tasks: []TaskSpec{
-			{Name: "acquire", Law: "periodic", DeadlineMs: 18, PeriodMs: 20,
-				Stages: []StageSpec{
-					{Name: "sample", Node: 0, WCETUs: 400},
-					{Name: "fuse", Node: 1, WCETUs: 900},
-					{Name: "commit", Node: 2, WCETUs: 300},
-				}},
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 50, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 1, WCETUs: 600},
-				}},
-		},
+	func() Spec {
+		return Spec{
+			Name: "distributed-pipeline", Nodes: 3, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 500,
+			Links: []LinkSpec{
+				{A: 0, B: 1, DMinUs: 100, DMaxUs: 250},
+				{A: 1, B: 2, DMinUs: 150, DMaxUs: 400},
+				{A: 0, B: 2, DMinUs: 100, DMaxUs: 300},
+			},
+			Faults: []FaultSpec{
+				{Kind: "drop-every", K: 25, Port: "heug.prec"},
+			},
+			Tasks: []TaskSpec{
+				{Name: "acquire", Law: "periodic", DeadlineMs: 18, PeriodMs: 20,
+					Stages: []StageSpec{
+						{Name: "sample", Node: 0, WCETUs: 400},
+						{Name: "fuse", Node: 1, WCETUs: 900},
+						{Name: "commit", Node: 2, WCETUs: 300},
+					}},
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 50, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 1, WCETUs: 600},
+					}},
+			},
+		}
 	},
+
+	// Membership churn: a passive replicated state machine over a
+	// three-member view-synchronous group, fed by a client on node 3;
+	// the primary crashes mid-run and recovers later, exercising the
+	// whole cycle — suspicion → agreed view change → failover in the
+	// same view at every replica → rejoin with state transfer.
+	func() Spec {
+		return Spec{
+			Name: "membership-churn", Nodes: 4, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 400,
+			Groups: []GroupSpec{
+				{Name: "sm", Nodes: []int{0, 1, 2}, Style: "passive",
+					CheckpointEvery: 5, SubmitEveryMs: 2, SubmitFrom: 3},
+			},
+			Faults: []FaultSpec{
+				// Crash mid-checkpoint-interval so the passive style shows
+				// its characteristic lost work.
+				{Kind: "crash", Node: 0, AtMs: 65, RecoverMs: 200},
+			},
+			Tasks: []TaskSpec{
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 3, WCETUs: 300},
+					}},
+			},
+		}
+	},
+
 	// Partition split: the primary of a passive replicated state
 	// machine is cut off from the rest of the cluster (a network
 	// segmentation, not a crash). The majority side holds quorum of
@@ -639,24 +687,27 @@ var builtins = map[string]Spec{
 	// nothing (split-brain safety). At heal the minority is
 	// re-admitted through a merge view with a state transfer, and
 	// in-flight old-view traffic is flushed at the boundary.
-	"partition-split": {
-		Name: "partition-split", Nodes: 4, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Groups: []GroupSpec{
-			{Name: "sm", Nodes: []int{0, 1, 2}, Style: "passive",
-				CheckpointEvery: 5, SubmitEveryMs: 2, SubmitFrom: 3},
-		},
-		Faults: []FaultSpec{
-			// The client (node 3) stays with the majority side.
-			{Kind: "partition", Partition: [][]int{{0}, {1, 2, 3}}, AtMs: 60, HealMs: 200},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 3, WCETUs: 300},
-				}},
-		},
+	func() Spec {
+		return Spec{
+			Name: "partition-split", Nodes: 4, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 400,
+			Groups: []GroupSpec{
+				{Name: "sm", Nodes: []int{0, 1, 2}, Style: "passive",
+					CheckpointEvery: 5, SubmitEveryMs: 2, SubmitFrom: 3},
+			},
+			Faults: []FaultSpec{
+				// The client (node 3) stays with the majority side.
+				{Kind: "partition", Partition: [][]int{{0}, {1, 2, 3}}, AtMs: 60, HealMs: 200},
+			},
+			Tasks: []TaskSpec{
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 3, WCETUs: 300},
+					}},
+			},
+		}
 	},
+
 	// Sharded KV: a keyspace consistent-hashed over two semi-active
 	// replication groups, driven by a client that survives a primary
 	// crash on one shard AND a primary partition on the other — the
@@ -665,32 +716,35 @@ var builtins = map[string]Spec{
 	// after the merge, applied exactly once (per-key linearizability
 	// is asserted by the scenario test across seeds). The client stays
 	// on the majority side of the split (the fencing caveat).
-	"sharded-kv": {
-		Name: "sharded-kv", Nodes: 7, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			Clients: []ShardClientSpec{
-				{Node: 6, SubmitEveryMs: 2, Policy: "queue",
-					Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+	func() Spec {
+		return Spec{
+			Name: "sharded-kv", Nodes: 7, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 400,
+			Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
+			Shards: &ShardsSpec{
+				Count: 2, ReplicasPer: 3, Style: "semi-active",
+				Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
+				Clients: []ShardClientSpec{
+					{Node: 6, SubmitEveryMs: 2, Policy: "queue",
+						Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+				},
 			},
-		},
-		Faults: []FaultSpec{
-			// Shard 0's primary crashes and later rejoins.
-			{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
-			// Shard 1's primary is segmented off alone; the client
-			// (node 6) stays with the majority.
-			{Kind: "partition", Partition: [][]int{{3}, {0, 1, 2, 4, 5, 6}}, AtMs: 140, HealMs: 240},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
+			Faults: []FaultSpec{
+				// Shard 0's primary crashes and later rejoins.
+				{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
+				// Shard 1's primary is segmented off alone; the client
+				// (node 6) stays with the majority.
+				{Kind: "partition", Partition: [][]int{{3}, {0, 1, 2, 4, 5, 6}}, AtMs: 140, HealMs: 240},
+			},
+			Tasks: []TaskSpec{
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 6, WCETUs: 300},
+					}},
+			},
+		}
 	},
+
 	// Bank transfer: cross-shard atomic transactions (2PC over the
 	// sharded data plane) under a combined primary crash AND a
 	// partition that segments one shard's serving quorum away from the
@@ -702,35 +756,37 @@ var builtins = map[string]Spec{
 	// committed transfers are all-or-nothing in both shards'
 	// authoritative histories, aborted ones leave no partial writes,
 	// and no lock outlives its deadline (txn.Verify).
-	"bank-transfer": {
-		Name: "bank-transfer", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			Txns: []TxnClientSpec{
-				{Node: 6, SubmitEveryMs: 3, DeadlineMs: 30,
-					Accounts: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-				{Node: 7, SubmitEveryMs: 4, DeadlineMs: 30,
-					Accounts: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+	func() Spec {
+		return Spec{
+			Name: "bank-transfer", Nodes: 8, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 400,
+			Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
+			Shards: &ShardsSpec{
+				Count: 2, ReplicasPer: 3, Style: "semi-active",
+				Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
+				Txns: []TxnClientSpec{
+					{Node: 6, SubmitEveryMs: 3, DeadlineMs: 30,
+						Accounts: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+					{Node: 7, SubmitEveryMs: 4, DeadlineMs: 30,
+						Accounts: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+				},
 			},
-		},
-		Faults: []FaultSpec{
-			// Shard 0's primary crashes and later rejoins.
-			{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
-			// Shard 1's serving quorum {3,4} is segmented away from the
-			// clients (its primary keeps quorum on the far side, so no
-			// failover rescues client-side traffic): transactions
-			// touching shard 1 can only deadline-abort until the heal.
-			{Kind: "partition", Partition: [][]int{{3, 4}, {0, 1, 2, 5, 6, 7}}, AtMs: 140, HealMs: 240},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
+			Faults: []FaultSpec{
+				// Shard 0's primary crashes and later rejoins.
+				{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
+				// Shard 1's serving quorum {3,4} is segmented away from the
+				// clients (its primary keeps quorum on the far side, so no
+				// failover rescues client-side traffic): transactions
+				// touching shard 1 can only deadline-abort until the heal.
+				{Kind: "partition", Partition: [][]int{{3, 4}, {0, 1, 2, 5, 6, 7}}, AtMs: 140, HealMs: 240},
+			},
+			Tasks: []TaskSpec{
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 6, WCETUs: 300},
+					}},
+			},
+		}
 	},
 
 	// Hot shard: two zipf-skewed clients hammer a keyspace whose
@@ -740,44 +796,46 @@ var builtins = map[string]Spec{
 	// SLO probe records a breach that opens in the failover window and
 	// clears after recovery. The companion scenario test and
 	// `hades-metrics -top` both read the answer from the export.
-	"hot-shard": {
-		Name: "hot-shard", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{
-			TraceSampleRate: fptr(1.0), RetainViolations: true,
-			Metrics: &MetricsSpec{
-				SLO: []SLORuleSpec{
-					// Healthy p99 sits near 1.3ms; the failover burst acks
-					// a ~10ms backlog inside one scrape interval, so the
-					// rule trips immediately and clears next interval.
-					{Name: "ack-p99", Metric: "kv.ack.latency", Stat: "p99",
-						Op: "<=", ThresholdMs: 5},
-					{Name: "no-drops", Metric: "net.drops", Op: "<=", Threshold: 0},
+	func() Spec {
+		return Spec{
+			Name: "hot-shard", Nodes: 8, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 400,
+			Observe: &ObserveSpec{
+				TraceSampleRate: fptr(1.0), RetainViolations: true,
+				Metrics: &MetricsSpec{
+					SLO: []SLORuleSpec{
+						// Healthy p99 sits near 1.3ms; the failover burst acks
+						// a ~10ms backlog inside one scrape interval, so the
+						// rule trips immediately and clears next interval.
+						{Name: "ack-p99", Metric: "kv.ack.latency", Stat: "p99",
+							Op: "<=", ThresholdMs: 5},
+						{Name: "no-drops", Metric: "net.drops", Op: "<=", Threshold: 0},
+					},
 				},
 			},
-		},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			// Pin the hot head of the zipf ranking to shard 0, the one
-			// whose primary crashes below.
-			Routes: map[string]int{"alpha": 0},
-			Clients: []ShardClientSpec{
-				{Node: 6, Count: 2, SubmitEveryMs: 2, Policy: "queue", ZipfSkew: 1.2,
-					Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+			Shards: &ShardsSpec{
+				Count: 2, ReplicasPer: 3, Style: "semi-active",
+				Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
+				// Pin the hot head of the zipf ranking to shard 0, the one
+				// whose primary crashes below.
+				Routes: map[string]int{"alpha": 0},
+				Clients: []ShardClientSpec{
+					{Node: 6, Count: 2, SubmitEveryMs: 2, Policy: "queue", ZipfSkew: 1.2,
+						Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+				},
 			},
-		},
-		Faults: []FaultSpec{
-			// The hot shard's primary crashes and later rejoins: ack
-			// latency spikes through the failover window.
-			{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
+			Faults: []FaultSpec{
+				// The hot shard's primary crashes and later rejoins: ack
+				// latency spikes through the failover window.
+				{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
+			},
+			Tasks: []TaskSpec{
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 6, WCETUs: 300},
+					}},
+			},
+		}
 	},
 
 	// Load ramp: the load harness as data. An open-loop generator's
@@ -788,37 +846,39 @@ var builtins = map[string]Spec{
 	// A second, closed-loop generator keeps a fixed session population
 	// thinking between acks on the other client node. The per-run
 	// report (hades-load) distills both.
-	"load-ramp": {
-		Name: "load-ramp", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			// Pin the zipf head to shard 0 so the mid-run shift to the
-			// next rank provably changes the serving shard.
-			Routes: map[string]int{"alpha": 0, "bravo": 1},
-			Load: []LoadSpec{
-				{Name: "ramp", Mode: "open", Nodes: []int{6},
-					Arrival: 400,
-					Ramp: []RampStepSpec{
-						{AtMs: 150, Rate: 1200},
-						{AtMs: 320, Rate: 600},
-					},
-					ZipfSkew:     1.2,
-					HotspotShift: []HotspotShiftSpec{{AtMs: 200, Shift: 1}},
-					Keys:         []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-				{Name: "think", Mode: "closed", Nodes: []int{7},
-					Sessions: 16, ThinkMs: 5,
-					Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+	func() Spec {
+		return Spec{
+			Name: "load-ramp", Nodes: 8, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 400,
+			Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
+			Shards: &ShardsSpec{
+				Count: 2, ReplicasPer: 3, Style: "semi-active",
+				Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
+				// Pin the zipf head to shard 0 so the mid-run shift to the
+				// next rank provably changes the serving shard.
+				Routes: map[string]int{"alpha": 0, "bravo": 1},
+				Load: []LoadSpec{
+					{Name: "ramp", Mode: "open", Nodes: []int{6},
+						Arrival: 400,
+						Ramp: []RampStepSpec{
+							{AtMs: 150, Rate: 1200},
+							{AtMs: 320, Rate: 600},
+						},
+						ZipfSkew:     1.2,
+						HotspotShift: []HotspotShiftSpec{{AtMs: 200, Shift: 1}},
+						Keys:         []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+					{Name: "think", Mode: "closed", Nodes: []int{7},
+						Sessions: 16, ThinkMs: 5,
+						Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
+				},
 			},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
+			Tasks: []TaskSpec{
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 6, WCETUs: 300},
+					}},
+			},
+		}
 	},
 
 	// Sensor fan-out: the pub/sub plane under fan-out, a bursty
@@ -833,88 +893,65 @@ var builtins = map[string]Spec{
 	// (publish latency = broadcast delivery, never a replicated round),
 	// and every deadline miss on telemetry surfaces as a monitor
 	// violation.
-	"sensor-fan-out": {
-		Name: "sensor-fan-out", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 1000,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			// Pin the durable topic to shard 0 (whose primary crashes
-			// below) and the best-effort topic to shard 1.
-			Routes: map[string]int{"telemetry": 0, "sensors": 1},
-		},
-		PubSub: &PubSubSpec{
-			Topics: []TopicSpec{
-				// The 10ms deadline clears the healthy path (p50 ≈ 0.8ms)
-				// but not the failover window: the crash below produces
-				// real DeadlineMiss events for the monitor plane.
-				{Name: "telemetry", Reliability: "reliable", DeadlineMs: 10, HistoryDepth: 8, Durable: true},
-				{Name: "sensors", Reliability: "bestEffort"},
+	func() Spec {
+		return Spec{
+			Name: "sensor-fan-out", Nodes: 8, Seed: 1, Costs: "default",
+			Scheduler: "EDF", Policy: "none", HorizonMs: 1000,
+			Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
+			Shards: &ShardsSpec{
+				Count: 2, ReplicasPer: 3, Style: "semi-active",
+				// Pin the durable topic to shard 0 (whose primary crashes
+				// below) and the best-effort topic to shard 1.
+				Routes: map[string]int{"telemetry": 0, "sensors": 1},
 			},
-			Publishers: []PublisherSpec{
-				{Topic: "telemetry", Node: 6, SubmitEveryMs: 2, Count: 300},
+			PubSub: &PubSubSpec{
+				Topics: []TopicSpec{
+					// The 10ms deadline clears the healthy path (p50 ≈ 0.8ms)
+					// but not the failover window: the crash below produces
+					// real DeadlineMiss events for the monitor plane.
+					{Name: "telemetry", Reliability: "reliable", DeadlineMs: 10, HistoryDepth: 8, Durable: true},
+					{Name: "sensors", Reliability: "bestEffort"},
+				},
+				Publishers: []PublisherSpec{
+					{Topic: "telemetry", Node: 6, SubmitEveryMs: 2, Count: 300},
+				},
+				Subscribers: []SubscriberSpec{
+					{Topic: "telemetry", Node: 3},
+					{Topic: "telemetry", Node: 4},
+					{Topic: "telemetry", Node: 5},
+					{Topic: "telemetry", Node: 7},
+					// Joins after the publisher went quiet and the crashed
+					// primary rejoined: converges to the last 8 samples.
+					{Topic: "telemetry", Node: 6, JoinAtMs: 700},
+					{Topic: "sensors", Node: 1},
+					{Topic: "sensors", Node: 2},
+					{Topic: "sensors", Node: 7},
+				},
+				Load: []LoadSpec{
+					// Each broadcast floods F+1 rounds to every node, so the
+					// burst rate is sized to keep the receive CPUs below
+					// saturation (≈8 flood copies per node per publish).
+					{Name: "storm", Mode: "open", Nodes: []int{6, 7},
+						Arrival: 300, EndMs: 800,
+						Ramp: []RampStepSpec{
+							{AtMs: 400, Rate: 1000},
+							{AtMs: 550, Rate: 200},
+						},
+						Keys: []string{"sensors"}},
+				},
 			},
-			Subscribers: []SubscriberSpec{
-				{Topic: "telemetry", Node: 3},
-				{Topic: "telemetry", Node: 4},
-				{Topic: "telemetry", Node: 5},
-				{Topic: "telemetry", Node: 7},
-				// Joins after the publisher went quiet and the crashed
-				// primary rejoined: converges to the last 8 samples.
-				{Topic: "telemetry", Node: 6, JoinAtMs: 700},
-				{Topic: "sensors", Node: 1},
-				{Topic: "sensors", Node: 2},
-				{Topic: "sensors", Node: 7},
+			Faults: []FaultSpec{
+				// The durable topic's owning primary crashes mid-publish and
+				// rejoins with a state transfer carrying the history ring.
+				{Kind: "crash", Node: 0, AtMs: 300, RecoverMs: 600},
 			},
-			Load: []LoadSpec{
-				// Each broadcast floods F+1 rounds to every node, so the
-				// burst rate is sized to keep the receive CPUs below
-				// saturation (≈8 flood copies per node per publish).
-				{Name: "storm", Mode: "open", Nodes: []int{6, 7},
-					Arrival: 300, EndMs: 800,
-					Ramp: []RampStepSpec{
-						{AtMs: 400, Rate: 1000},
-						{AtMs: 550, Rate: 200},
-					},
-					Keys: []string{"sensors"}},
+			Tasks: []TaskSpec{
+				{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+					Stages: []StageSpec{
+						{Name: "check", Node: 7, WCETUs: 300},
+					}},
 			},
-		},
-		Faults: []FaultSpec{
-			// The durable topic's owning primary crashes mid-publish and
-			// rejoins with a state transfer carrying the history ring.
-			{Kind: "crash", Node: 0, AtMs: 300, RecoverMs: 600},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 7, WCETUs: 300},
-				}},
-		},
-	},
-
-	// Membership churn: a passive replicated state machine over a
-	// three-member view-synchronous group, fed by a client on node 3;
-	// the primary crashes mid-run and recovers later, exercising the
-	// whole cycle — suspicion → agreed view change → failover in the
-	// same view at every replica → rejoin with state transfer.
-	"membership-churn": {
-		Name: "membership-churn", Nodes: 4, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Groups: []GroupSpec{
-			{Name: "sm", Nodes: []int{0, 1, 2}, Style: "passive",
-				CheckpointEvery: 5, SubmitEveryMs: 2, SubmitFrom: 3},
-		},
-		Faults: []FaultSpec{
-			// Crash mid-checkpoint-interval so the passive style shows
-			// its characteristic lost work.
-			{Kind: "crash", Node: 0, AtMs: 65, RecoverMs: 200},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 3, WCETUs: 300},
-				}},
-		},
+		}
 	},
 }
 

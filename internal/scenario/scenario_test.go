@@ -957,3 +957,50 @@ func TestMembershipBoundFeedsAdmission(t *testing.T) {
 		t.Fatal("task set without room for a failover window admitted")
 	}
 }
+
+// TestBuiltinReturnsFreshSpec: every Builtin call builds its own spec,
+// so a caller mutating one through its pointer, slice or map fields
+// cannot change what the next caller gets.
+func TestBuiltinReturnsFreshSpec(t *testing.T) {
+	a, err := Builtin("load-ramp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Shards.Count = 99
+	a.Shards.Routes["alpha"] = 1
+	a.Shards.Load[0].Keys[0] = "mutated"
+	a.Tasks[0].Name = "mutated"
+	*a.Observe.TraceSampleRate = 0.5
+	b, err := Builtin("load-ramp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Shards.Count != 2 || b.Shards.Routes["alpha"] != 0 || b.Shards.Load[0].Keys[0] != "alpha" {
+		t.Fatalf("shards block aliased across calls: %+v", *b.Shards)
+	}
+	if b.Tasks[0].Name != "watchdog" {
+		t.Fatalf("task list aliased across calls: %q", b.Tasks[0].Name)
+	}
+	if *b.Observe.TraceSampleRate != 1 {
+		t.Fatalf("observe block aliased across calls: rate %g", *b.Observe.TraceSampleRate)
+	}
+}
+
+// TestBuiltinNamesMatchCatalogue: every listed name resolves to a spec
+// carrying that name, and no name is listed twice.
+func TestBuiltinNamesMatchCatalogue(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range BuiltinNames() {
+		if seen[name] {
+			t.Fatalf("builtin %q listed twice", name)
+		}
+		seen[name] = true
+		spec, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Name != name {
+			t.Fatalf("builtin %q builds a spec named %q", name, spec.Name)
+		}
+	}
+}

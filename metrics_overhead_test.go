@@ -19,14 +19,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"strconv"
 	"testing"
-	"time"
 
 	"hades/internal/cluster"
 	"hades/internal/metrics"
 	"hades/internal/monitor"
-	"hades/internal/vtime"
 )
 
 // metricsBudget is the metrics plane's cost contract versus disabled.
@@ -36,57 +33,13 @@ const metricsBudget = 0.05
 // runners, as in the tracing gate.
 const metricsNoiseAllowance = 0.03
 
-// runHighFanoutKVMetrics runs the high-fanout KV workload once under
-// the given metrics parameters and returns its wall-clock runtime.
-func runHighFanoutKVMetrics(mp *cluster.MetricsParams) time.Duration {
-	t0 := time.Now()
-	params := highFanoutSession()
-	c := cluster.New(cluster.Config{Seed: 61, Metrics: mp})
-	c.AddNodes(9)
-	c.ConnectAll(100*us, 300*us)
-	set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-	cl := set.ClientAt(8)
-	n := 0
-	for t := vtime.Duration(0); t < 100*ms; t += 2 * ms {
-		for _, k := range highFanoutKeys {
-			key := k
-			n++
-			cmd := int64(n)
-			c.At(vtime.Time(t), func() { cl.Submit(key, cmd) })
-		}
-	}
-	c.Run(600 * ms)
-	if cl.Stats.Acked != cl.Stats.Submitted {
-		panic("metrics overhead workload: ack mismatch")
-	}
-	return time.Since(t0)
-}
-
 func TestMetricsOverheadGate(t *testing.T) {
 	if os.Getenv("HADES_METRICS_GATE") == "" {
 		t.Skip("paired overhead gate is opt-in: set HADES_METRICS_GATE=1")
 	}
-	reps := 120
-	if v := os.Getenv("HADES_METRICS_GATE_REPS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 2 {
-			t.Fatalf("bad HADES_METRICS_GATE_REPS %q", v)
-		}
-		reps = n
-	}
-	var offSum, onSum time.Duration
-	for i := 0; i < reps; i++ {
-		// Alternate leg order so slow drift cancels instead of biasing
-		// one leg.
-		if i%2 == 0 {
-			offSum += runHighFanoutKVMetrics(&cluster.MetricsParams{Disabled: true})
-			onSum += runHighFanoutKVMetrics(nil) // plane on with defaults
-		} else {
-			onSum += runHighFanoutKVMetrics(nil)
-			offSum += runHighFanoutKVMetrics(&cluster.MetricsParams{Disabled: true})
-		}
-	}
-	ratio := float64(onSum)/float64(offSum) - 1
+	// The measured leg runs the plane with its defaults.
+	ratio, reps := pairedOverhead(t, "HADES_METRICS_GATE_REPS",
+		cluster.Config{Metrics: &cluster.MetricsParams{Disabled: true}}, cluster.Config{})
 	t.Logf("paired metrics overhead over %d reps: %+.1f%% (budget %.0f%% + %.0f%% noise allowance)",
 		reps, 100*ratio, 100*metricsBudget, 100*metricsNoiseAllowance)
 	if ratio > metricsBudget+metricsNoiseAllowance {
@@ -108,22 +61,7 @@ func TestMetricsPassive(t *testing.T) {
 		retries int
 	}
 	run := func(mp *cluster.MetricsParams) (fingerprint, *cluster.Cluster) {
-		params := highFanoutSession()
-		c := cluster.New(cluster.Config{Seed: 61, Metrics: mp})
-		c.AddNodes(9)
-		c.ConnectAll(100*us, 300*us)
-		set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-		cl := set.ClientAt(8)
-		n := 0
-		for tt := vtime.Duration(0); tt < 100*ms; tt += 2 * ms {
-			for _, k := range highFanoutKeys {
-				key := k
-				n++
-				cmd := int64(n)
-				c.At(vtime.Time(tt), func() { cl.Submit(key, cmd) })
-			}
-		}
-		c.Run(600 * ms)
+		c, _, cl := highFanoutKV(cluster.Config{Metrics: mp})
 		h := fnv.New64a()
 		events := 0
 		for _, e := range c.Log().Events() {

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"hades/internal/cluster"
-	"hades/internal/vtime"
 )
 
 // tracingBudget is the observability plane's cost contract: tracing
@@ -42,57 +41,51 @@ const tracingBudget = 0.05
 // tracing hot path.
 const tracingNoiseAllowance = 0.03
 
-// runHighFanoutKV runs the high-fanout KV workload once under the
-// given tracing parameters and returns its wall-clock runtime.
-func runHighFanoutKV(tp *cluster.TraceParams) time.Duration {
-	t0 := time.Now()
-	params := highFanoutSession()
-	c := cluster.New(cluster.Config{Seed: 61, Trace: tp})
-	c.AddNodes(9)
-	c.ConnectAll(100*us, 300*us)
-	set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-	cl := set.ClientAt(8)
-	n := 0
-	for t := vtime.Duration(0); t < 100*ms; t += 2 * ms {
-		for _, k := range highFanoutKeys {
-			key := k
-			n++
-			cmd := int64(n)
-			c.At(vtime.Time(t), func() { cl.Submit(key, cmd) })
+// pairedOverhead is the measurement behind both overhead gates. It
+// runs the high-fanout KV workload reps times under each of two
+// configurations inside this one process and returns the ratio of the
+// summed runtimes, on over off, minus one. reps is 120 unless the
+// repsEnv environment variable names another count.
+func pairedOverhead(t *testing.T, repsEnv string, off, on cluster.Config) (ratio float64, reps int) {
+	t.Helper()
+	reps = 120
+	if v := os.Getenv(repsEnv); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 2 {
+			t.Fatalf("bad %s %q", repsEnv, v)
+		}
+		reps = n
+	}
+	timed := func(cfg cluster.Config) time.Duration {
+		t0 := time.Now()
+		_, _, cl := highFanoutKV(cfg)
+		if cl.Stats.Acked != cl.Stats.Submitted {
+			t.Fatalf("overhead workload acked %d of %d", cl.Stats.Acked, cl.Stats.Submitted)
+		}
+		return time.Since(t0)
+	}
+	var offSum, onSum time.Duration
+	for i := 0; i < reps; i++ {
+		// Alternate leg order so slow drift (GC state, thermal, noisy
+		// neighbours) cancels instead of biasing one leg.
+		if i%2 == 0 {
+			offSum += timed(off)
+			onSum += timed(on)
+		} else {
+			onSum += timed(on)
+			offSum += timed(off)
 		}
 	}
-	c.Run(600 * ms)
-	if cl.Stats.Acked != cl.Stats.Submitted {
-		panic("tracing overhead workload: ack mismatch")
-	}
-	return time.Since(t0)
+	return float64(onSum)/float64(offSum) - 1, reps
 }
 
 func TestTracingOverheadGate(t *testing.T) {
 	if os.Getenv("HADES_TRACE_GATE") == "" {
 		t.Skip("paired overhead gate is opt-in: set HADES_TRACE_GATE=1")
 	}
-	reps := 120
-	if v := os.Getenv("HADES_TRACE_GATE_REPS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 2 {
-			t.Fatalf("bad HADES_TRACE_GATE_REPS %q", v)
-		}
-		reps = n
-	}
-	var offSum, tracedSum time.Duration
-	for i := 0; i < reps; i++ {
-		// Alternate leg order so slow drift (GC state, thermal, noisy
-		// neighbours) cancels instead of biasing one leg.
-		if i%2 == 0 {
-			offSum += runHighFanoutKV(&cluster.TraceParams{Disabled: true})
-			tracedSum += runHighFanoutKV(nil) // cluster default sample rate
-		} else {
-			tracedSum += runHighFanoutKV(nil)
-			offSum += runHighFanoutKV(&cluster.TraceParams{Disabled: true})
-		}
-	}
-	ratio := float64(tracedSum)/float64(offSum) - 1
+	// The traced leg runs at the cluster default sample rate.
+	ratio, reps := pairedOverhead(t, "HADES_TRACE_GATE_REPS",
+		cluster.Config{Trace: &cluster.TraceParams{Disabled: true}}, cluster.Config{})
 	t.Logf("paired tracing overhead over %d reps: %+.1f%% (budget %.0f%% + %.0f%% noise allowance)",
 		reps, 100*ratio, 100*tracingBudget, 100*tracingNoiseAllowance)
 	if ratio > tracingBudget+tracingNoiseAllowance {
@@ -112,22 +105,7 @@ func TestTracingPassive(t *testing.T) {
 		retries int
 	}
 	run := func(tp *cluster.TraceParams) fingerprint {
-		params := highFanoutSession()
-		c := cluster.New(cluster.Config{Seed: 61, Trace: tp})
-		c.AddNodes(9)
-		c.ConnectAll(100*us, 300*us)
-		set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-		cl := set.ClientAt(8)
-		n := 0
-		for tt := vtime.Duration(0); tt < 100*ms; tt += 2 * ms {
-			for _, k := range highFanoutKeys {
-				key := k
-				n++
-				cmd := int64(n)
-				c.At(vtime.Time(tt), func() { cl.Submit(key, cmd) })
-			}
-		}
-		c.Run(600 * ms)
+		c, _, cl := highFanoutKV(cluster.Config{Trace: tp})
 		return fingerprint{events: len(c.Log().Events()), acked: cl.Stats.Acked, retries: cl.Stats.Retries}
 	}
 	off := run(&cluster.TraceParams{Disabled: true})
